@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet test race build bench bench-smoke bench-compare stream-equiv checkpoint-equiv provisional-equiv cluster-equiv alloc-guard
+.PHONY: check fmt vet test race build bench bench-smoke bench-compare stream-equiv checkpoint-equiv provisional-equiv cluster-equiv alloc-guard perfbench-selftest
 
-check: fmt vet race stream-equiv checkpoint-equiv provisional-equiv cluster-equiv alloc-guard bench-smoke bench-compare
+check: fmt vet race stream-equiv checkpoint-equiv provisional-equiv cluster-equiv alloc-guard perfbench-selftest bench-smoke bench-compare
 
 # gofmt -l prints offending files; fail if it prints anything.
 fmt:
@@ -88,3 +88,10 @@ cluster-equiv:
 # internal/core/alloc_guard_test.go).
 alloc-guard:
 	$(GO) test -run 'TestStreamAllocs' -count=1 ./internal/core
+
+# The repository benchmark is its own module (perfbench/go.mod), so `go vet
+# ./...` and `go test ./...` above never compile it: vet and self-test it
+# here, so a change to an entry point it calls (stream.NewSharded,
+# stream.NewCluster, core.Streamer, ...) fails check instead of run.py.
+perfbench-selftest:
+	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...

@@ -111,7 +111,8 @@ type stateResult struct {
 // retained batch frames; batch sequence numbers start at 1 and the
 // delivered cursor dedupes replay re-answers, so every batch reaches the
 // merge exactly once and the shard steps every batch at most once per
-// session state — see DESIGN "Cluster mode" for the soundness argument.
+// session state — see DESIGN "Remote links (cluster mode)" for the
+// soundness argument.
 type Client struct {
 	cfg ClientConfig
 	met ClientMetrics

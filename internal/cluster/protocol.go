@@ -278,15 +278,13 @@ type DecisionItem struct {
 
 // DecisionBatch completes one batch: one item per message stepped (a
 // prefix of the batch when the shard errored mid-batch), the shard's
-// cumulative local stats, and the shard-side error if any. Err is set by
-// the client on transport failure; it never crosses the wire.
+// cumulative local stats, and the shard-side error if any.
 type DecisionBatch struct {
 	Seq      uint64
 	Items    []DecisionItem
 	Rules    []uint64
 	Stats    grouping.LocalStats
 	ShardErr string
-	Err      error
 }
 
 // appendDecisions appends a Decisions frame payload.
@@ -349,7 +347,6 @@ func decodeDecisions(payload []byte, db *DecisionBatch) error {
 	}
 	db.Items = db.Items[:0]
 	db.Rules = db.Rules[:0]
-	db.Err = nil
 	for i := uint64(0); i < n; i++ {
 		var it DecisionItem
 		if it.Temporal, err = r.uvarint(); err != nil {

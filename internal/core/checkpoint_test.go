@@ -147,55 +147,81 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 
 // TestCheckpointRestoreAcrossWorkerCounts kills a sharded run and restores
 // it serial (and vice versa): the snapshot is shape-independent, so the
-// stitched transcript must still match the uninterrupted reference.
+// stitched transcript must still match the uninterrupted reference, and
+// every restored streamer must report the open state the killed one held.
+// The second input cuts at the very end of the feed with the reorder
+// buffer off, so the restored sharded engine holds open groups but never
+// sees an Observe before Flush drains it.
 func TestCheckpointRestoreAcrossWorkerCounts(t *testing.T) {
 	kb, ds := learnSmall(t, gen.DatasetA)
 	kb.SetMatchCache(0)
 	msgs := ds.Messages
-	want := runUninterrupted(t, kb, msgs, StreamerOptions{StreamWorkers: 1})
-
-	// 4 workers → kill → 1 worker → kill → 3 workers.
-	plan := []int{4, 1, 3}
-	cuts := killPoints(7, len(plan)-1, len(msgs))
-	d, err := NewDigester(kb)
-	if err != nil {
-		t.Fatal(err)
+	inputs := []struct {
+		name string
+		opts StreamerOptions
+		cuts []int
+	}{
+		{"random", StreamerOptions{}, killPoints(7, 2, len(msgs))},
+		{"feed-end", StreamerOptions{ReorderTolerance: -1}, append(killPoints(7, 1, len(msgs)), len(msgs))},
 	}
-	st := NewStreamerWith(d, StreamerOptions{StreamWorkers: plan[0]})
-	var got bytes.Buffer
-	next := 0
-	for i, m := range msgs {
-		if next < len(cuts) && i == cuts[next] {
-			next++
-			snap, err := st.Snapshot()
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			opts := in.opts
+			opts.StreamWorkers = 1
+			want := runUninterrupted(t, kb, msgs, opts)
+
+			// 4 workers → kill → 1 worker → kill → 3 workers.
+			plan := []int{4, 1, 3}
+			d, err := NewDigester(kb)
 			if err != nil {
 				t.Fatal(err)
 			}
+			opts.StreamWorkers = plan[0]
+			st := NewStreamerWith(d, opts)
+			var got bytes.Buffer
+			next := 0
+			for i := 0; i <= len(msgs); i++ {
+				if next < len(in.cuts) && i == in.cuts[next] {
+					next++
+					open := st.Pending()
+					snap, err := st.Snapshot()
+					if err != nil {
+						t.Fatal(err)
+					}
+					st.Close()
+					d2, err := NewDigester(kb)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opts.StreamWorkers = plan[next]
+					st, err = RestoreStreamer(d2, snap, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if p := st.Pending(); p != open {
+						t.Fatalf("restored at %d workers holds %d pending messages, the killed run %d", plan[next], p, open)
+					}
+				}
+				if i == len(msgs) {
+					break
+				}
+				res, err := st.Push(msgs[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				appendEvents(t, &got, res)
+			}
+			res, err := st.Flush()
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendEvents(t, &got, res)
 			st.Close()
-			d2, err := NewDigester(kb)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st, err = RestoreStreamer(d2, snap, StreamerOptions{StreamWorkers: plan[next]})
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		res, err := st.Push(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		appendEvents(t, &got, res)
-	}
-	res, err := st.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendEvents(t, &got, res)
-	st.Close()
 
-	if !bytes.Equal(want.Bytes(), got.Bytes()) {
-		t.Fatalf("resharded run diverged: want %d bytes, got %d", want.Len(), got.Len())
+			if !bytes.Equal(want.Bytes(), got.Bytes()) {
+				t.Fatalf("resharded run diverged: want %d bytes, got %d", want.Len(), got.Len())
+			}
+		})
 	}
 }
 

@@ -133,7 +133,8 @@ func TestClusterMatchesSerial(t *testing.T) {
 // streamer, and reconciles the stream.cluster.* series against the
 // stream.shard.* and stream.merge.* series it rides with: every batch sent
 // was acked, every punctuation applied exactly once per batch, per-shard
-// pushed counts sum to the feed, and the merge stage emitted every event.
+// pushed counts sum to the feed, the merge stage emitted every event, and
+// the rule-scan counters equal the serial run's.
 func TestClusterStreamerMatchesSerial(t *testing.T) {
 	kb, ds := learnSmall(t, gen.DatasetA)
 	d, err := NewDigester(kb)
@@ -168,7 +169,9 @@ func TestClusterStreamerMatchesSerial(t *testing.T) {
 		}
 		return events
 	}
-	want := run(StreamerOptions{}, nil)
+	wantReg := obs.NewRegistry()
+	want := run(StreamerOptions{}, wantReg)
+	wantSnap := wantReg.Snapshot()
 
 	for _, shards := range []int{2, 4} {
 		reg := obs.NewRegistry()
@@ -207,6 +210,13 @@ func TestClusterStreamerMatchesSerial(t *testing.T) {
 		if snap.Counter("stream.cluster.reconnects") != 0 {
 			t.Fatalf("shards=%d: unexpected reconnects in a quiet run", shards)
 		}
+		// The rule-scan tallies are router-local, so the remote shards'
+		// totals must equal the serial grouper's exactly.
+		for _, name := range []string{"group.rule.candidates_scanned", "group.rule.pairs_matched"} {
+			if got, w := snap.Counter(name), wantSnap.Counter(name); got != w || w == 0 {
+				t.Fatalf("shards=%d: %s = %v, serial %v", shards, name, got, w)
+			}
+		}
 	}
 }
 
@@ -243,7 +253,7 @@ func TestClusterKillReconnect(t *testing.T) {
 			defer eng.Close()
 			eng.SetLogf(t.Logf)
 			eng.SetBatchSize(32)
-			eng.SetClusterMetrics(stream.ClusterMetrics{Client: cluster.ClientMetrics{
+			eng.SetShardedMetrics(stream.ShardedMetrics{Client: cluster.ClientMetrics{
 				Reconnects: reg.Counter("reconnects"),
 				Replayed:   reg.Counter("replayed"),
 			}})
@@ -292,7 +302,9 @@ func TestClusterKillReconnect(t *testing.T) {
 // shard count AND into a serial engine, and requires both continuations to
 // finish the stream byte-identically — the snapshot is engine-shape-free,
 // and the restored cluster re-seeds its remote shards through the session
-// handshake.
+// handshake. Every restored engine must hold the open messages the
+// snapshotted one held. The second cut is the end of the feed: the
+// restored engines see no Observe before their Drain.
 func TestClusterCheckpointRestore(t *testing.T) {
 	kb, ds := learnSmall(t, gen.DatasetB)
 	d, err := NewDigester(kb)
@@ -309,73 +321,62 @@ func TestClusterCheckpointRestore(t *testing.T) {
 	}
 	want := runEngine(t, serial, plus, order)
 
-	cut := len(order) / 2
-	eng, err := stream.NewCluster(kb.Dictionary(), kb.RuleBase, d.engineConfig(0, 0), loopbackAddrs(srv, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var prefix []event.Event
-	for _, i := range order[:cut] {
-		evs, err := eng.Observe(streamMsg(&plus[i], i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		prefix = append(prefix, evs...)
-	}
-	st, carry, _, err := eng.State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Close() // the snapshot, not the live engine, continues
-	prefix = append(prefix, carry...)
-
-	finish := func(label string, eng streamEngine) {
+	// snapshot feeds order[:cut] into eng and checkpoints it, returning the
+	// state, the events emitted so far (uncollected carry included), and
+	// the open message count.
+	snapshot := func(eng streamEngine, cut int) (stream.EngineState, []event.Event, int) {
 		t.Helper()
-		got := append([]event.Event(nil), prefix...)
-		got = append(got, runEngine(t, eng, plus, order[cut:])...)
-		diffEvents(t, label, got, want)
-	}
-
-	eng4, err := stream.RestoreCluster(kb.Dictionary(), kb.RuleBase, d.engineConfig(0, 0), loopbackAddrs(srv, 4), st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng4.Close()
-	finish("cluster->cluster(4)", eng4)
-
-	engS, err := stream.RestoreEngine(kb.Dictionary(), kb.RuleBase, d.engineConfig(0, 0), st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	finish("cluster->serial", engS)
-
-	// And the reverse shape change: a sharded in-process snapshot restored
-	// into a cluster must continue identically too.
-	engSh, err := stream.NewSharded(kb.Dictionary(), kb.RuleBase, d.engineConfig(0, 0), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var prefix2 []event.Event
-	for _, i := range order[:cut] {
-		evs, err := engSh.Observe(streamMsg(&plus[i], i))
+		defer eng.Close() // the snapshot, not the live engine, continues
+		var prefix []event.Event
+		for _, i := range order[:cut] {
+			evs, err := eng.Observe(streamMsg(&plus[i], i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			prefix = append(prefix, evs...)
+		}
+		open := eng.Pending()
+		st, carry, _, err := eng.State()
 		if err != nil {
 			t.Fatal(err)
 		}
-		prefix2 = append(prefix2, evs...)
+		return st, append(prefix, carry...), open
 	}
-	st2, carry2, _, err := engSh.State()
-	if err != nil {
-		t.Fatal(err)
+	for _, cut := range []int{len(order) / 2, len(order)} {
+		t.Run(fmt.Sprintf("cut%d", cut), func(t *testing.T) {
+			finish := func(label string, prefix []event.Event, open int, eng streamEngine, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer eng.Close()
+				if got := eng.Pending(); got != open {
+					t.Fatalf("%s: restored engine holds %d open messages, snapshot %d", label, got, open)
+				}
+				got := append([]event.Event(nil), prefix...)
+				got = append(got, runEngine(t, eng, plus, order[cut:])...)
+				diffEvents(t, label, got, want)
+			}
+			cfg := d.engineConfig(0, 0)
+			eng, err := stream.NewCluster(kb.Dictionary(), kb.RuleBase, cfg, loopbackAddrs(srv, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, prefix, open := snapshot(eng, cut)
+			eng4, err := stream.RestoreCluster(kb.Dictionary(), kb.RuleBase, cfg, loopbackAddrs(srv, 4), st)
+			finish("cluster->cluster(4)", prefix, open, eng4, err)
+			engS, err := stream.RestoreEngine(kb.Dictionary(), kb.RuleBase, cfg, st)
+			finish("cluster->serial", prefix, open, engS, err)
+
+			// And the reverse shape change: a sharded in-process snapshot
+			// restored into a cluster must continue identically too.
+			engSh, err := stream.NewSharded(kb.Dictionary(), kb.RuleBase, cfg, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st2, prefix2, open2 := snapshot(engSh, cut)
+			engC, err := stream.RestoreCluster(kb.Dictionary(), kb.RuleBase, cfg, loopbackAddrs(srv, 2), st2)
+			finish("sharded->cluster(2)", prefix2, open2, engC, err)
+		})
 	}
-	engSh.Close()
-	if len(carry2) != 0 {
-		prefix2 = append(prefix2, carry2...)
-	}
-	prefix = prefix2
-	engC, err := stream.RestoreCluster(kb.Dictionary(), kb.RuleBase, d.engineConfig(0, 0), loopbackAddrs(srv, 2), st2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer engC.Close()
-	finish("sharded->cluster(2)", engC)
 }

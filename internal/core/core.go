@@ -666,9 +666,9 @@ func (d *Digester) groupingConfig() grouping.Config {
 	return cfg
 }
 
-// streamEngine is the surface Streamer and DigestPlus drive; both the
-// serial stream.Engine and the sharded stream.ShardedEngine satisfy it
-// with byte-identical output.
+// streamEngine is the surface Streamer and DigestPlus drive; the serial
+// stream.Engine and the stream.ShardedEngine (in-process shards or remote
+// cluster shards) both satisfy it with byte-identical output.
 type streamEngine interface {
 	Observe(stream.Message) ([]event.Event, error)
 	Drain() []event.Event
@@ -709,10 +709,10 @@ func (d *Digester) newEngine(maxStreams int, prov time.Duration) (*stream.Engine
 	return stream.New(d.kb.dict, d.kb.RuleBase, d.engineConfig(maxStreams, prov))
 }
 
-// newStreamEngine builds the engine selected by the configuration: cluster
-// when addrs is non-empty (one remote shard per address), sharded when
-// workers > 1, serial otherwise. Cluster and sharded engines own
-// goroutines — callers must Close.
+// newStreamEngine builds the engine selected by the configuration: sharded
+// over remote shards when addrs is non-empty (one per address), sharded
+// in-process when workers > 1, serial otherwise. A sharded engine owns
+// goroutines (and, over remote shards, connections) — callers must Close.
 func (d *Digester) newStreamEngine(maxStreams, workers int, addrs []string, prov time.Duration) (streamEngine, error) {
 	if len(addrs) > 0 {
 		return stream.NewCluster(d.kb.dict, d.kb.RuleBase, d.engineConfig(maxStreams, prov), addrs)

@@ -44,12 +44,12 @@ type StreamerOptions struct {
 	// engine, N > 1 the sharded engine with N router-hashed workers.
 	// Output is byte-identical at any setting.
 	StreamWorkers int
-	// ShardAddrs selects the cluster engine: one remote shard process per
-	// address (repeat an address to host several shards in one process),
-	// reached over the shard wire protocol, merged locally. Empty inherits
-	// the digester's setting (SetShardAddrs); when resolved non-empty it
-	// takes precedence over StreamWorkers. Output stays byte-identical to
-	// the serial engine at any address count.
+	// ShardAddrs selects the sharded engine over remote shards: one shard
+	// process per address (repeat an address to host several shards in one
+	// process), reached over the shard wire protocol, merged locally. Empty
+	// inherits the digester's setting (SetShardAddrs); when resolved
+	// non-empty it takes precedence over StreamWorkers. Output stays
+	// byte-identical to the serial engine at any address count.
 	ShardAddrs []string
 	// ProvisionalHorizon turns on two-tier emission: 0 inherits the
 	// digester's setting (Params.ProvisionalHorizon /
@@ -79,7 +79,7 @@ type Streamer struct {
 	opts StreamerOptions
 
 	eng        streamEngine
-	engMetrics stream.ClusterMetrics
+	engMetrics stream.ShardedMetrics
 	reg        *obs.Registry
 
 	buf      reorderHeap
@@ -136,11 +136,12 @@ func NewStreamerWith(d *Digester, opts StreamerOptions) *Streamer {
 // and the shared grouping merge counters (group.merges.*). In sharded mode
 // it additionally publishes per-shard series (stream.shard.<k>.{pushed,
 // streams,evictions,watermark_unix_seconds}) and the merge-stage series
-// (stream.merge.emitted, stream.merge.lag_seconds). In cluster mode the
-// wire-level series join them (stream.cluster.{bytes_out,bytes_in,
-// batches_sent,batches_acked,replayed_batches,reconnects,state_snapshots,
-// rtt_seconds,inflight,punctuations_applied}). A nil registry leaves the
-// streamer uninstrumented.
+// (stream.merge.emitted, stream.merge.lag_seconds). With remote shards
+// (ShardAddrs) the wire-level series join them (stream.cluster.{bytes_out,
+// bytes_in,batches_sent,batches_acked,replayed_batches,reconnects,
+// state_snapshots,rtt_seconds,inflight,punctuations_applied}); all of them
+// feed one stream.ShardedMetrics. A nil registry leaves the streamer
+// uninstrumented.
 func (s *Streamer) Instrument(reg *obs.Registry) {
 	s.reg = reg
 	s.mBuffered = reg.Gauge("stream.buffered")
@@ -148,7 +149,7 @@ func (s *Streamer) Instrument(reg *obs.Registry) {
 	s.mReordered = reg.Counter("stream.reordered")
 	s.mDropped = reg.Counter("stream.dropped.late")
 	s.mDroppedOvf = reg.Counter("stream.dropped.overflow")
-	s.engMetrics = stream.ClusterMetrics{ShardedMetrics: stream.ShardedMetrics{Metrics: stream.Metrics{
+	s.engMetrics = stream.ShardedMetrics{Metrics: stream.Metrics{
 		Grouping: grouping.IncMetrics{
 			MergeTemporal:   reg.Counter("group.merges.temporal"),
 			MergeRule:       reg.Counter("group.merges.rule"),
@@ -167,7 +168,7 @@ func (s *Streamer) Instrument(reg *obs.Registry) {
 		Emitted:     reg.Counter("stream.emitted"),
 		EmitLatency: reg.Histogram("stream.emit_latency_seconds", stream.EmitLatencyBounds()),
 		Watermark:   reg.Gauge("stream.watermark_unix_seconds"),
-	}}}
+	}}
 	if s.provHorizon() > 0 {
 		s.engMetrics.ProvEmitted = reg.Counter("stream.provisional.emitted")
 		s.engMetrics.ProvRevised = reg.Counter("stream.provisional.revised")
@@ -243,18 +244,15 @@ func (s *Streamer) provHorizon() time.Duration {
 }
 
 // setEngineMetrics hands the metric set to the engine; the sharded engine
-// takes the per-shard and merge-stage handles too, the cluster engine adds
-// the wire-level handles. Metrics must land before the first Observe (they
-// do: engine() installs them immediately after construction).
+// (in-process or cluster) also takes the per-shard, merge-stage and wire
+// handles. Metrics must land before the first Observe (they do: engine()
+// installs them immediately after construction).
 func (s *Streamer) setEngineMetrics(eng streamEngine) {
-	switch e := eng.(type) {
-	case *stream.ClusterEngine:
-		e.SetClusterMetrics(s.engMetrics)
-	case *stream.ShardedEngine:
-		e.SetShardedMetrics(s.engMetrics.ShardedMetrics)
-	default:
-		eng.SetMetrics(s.engMetrics.Metrics)
+	if sh, ok := eng.(*stream.ShardedEngine); ok {
+		sh.SetShardedMetrics(s.engMetrics)
+		return
 	}
+	eng.SetMetrics(s.engMetrics.Metrics)
 }
 
 // engine lazily builds the underlying engine (construction can fail on

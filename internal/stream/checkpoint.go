@@ -55,79 +55,97 @@ func RestoreEngine(dict *locdict.Dictionary, rb *rules.RuleBase, cfg Config, st 
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{
-		inc:     inc,
-		builder: event.NewBuilder(cfg.Freq, cfg.Labeler),
-		nextID:  st.NextID,
-		prov:    cfg.Grouping.ProvisionalHorizon > 0,
-	}, nil
+	e := &Engine{inc: inc}
+	e.emitter = newEmitter(cfg, &e.met)
+	e.nextID = st.NextID
+	return e, nil
 }
 
-// State synchronizes (flushing any partial batch and waiting until the
-// merge stage has applied everything dispatched) and snapshots the engine.
-// It also returns copies of the events and tier-tagged updates emitted but
-// not yet collected — the caller must persist them with the state; they
-// stay queued here and still surface on the next collection from the live
-// engine.
+// State synchronizes, fetches every shard's router-local state through its
+// link, and stitches the parts with the merger into the EngineState the
+// serial engine would snapshot (grouping.CaptureRemoteParts is
+// byte-identical to CaptureParts). It also returns copies of the events and
+// tier-tagged updates not yet collected — the caller must persist them with
+// the state; they stay queued here for the live engine's next collection.
 func (e *ShardedEngine) State() (EngineState, []event.Event, []event.Update, error) {
 	if e.closed {
 		return EngineState{}, nil, nil, fmt.Errorf("stream: sharded engine closed")
 	}
-	if e.running || e.pending > 0 {
-		e.dispatch(ctrlSync)
-		<-e.ack
+	if e.running || len(e.cur.order) > 0 {
+		e.sync(ctrlSync)
 	}
 	if err := e.peekErr(); err != nil {
 		return EngineState{}, nil, nil, err
 	}
-	// Post-ack quiet window: the shard goroutines are parked on their input
-	// channels and the merge goroutine on its, so the locals and the merger
-	// are exclusively ours until the next dispatch.
+	var parts []grouping.LocalPartState
+	for k, l := range e.links {
+		part, err := l.state()
+		if err != nil {
+			return EngineState{}, nil, nil, fmt.Errorf("stream: shard %d state: %w", k, err)
+		}
+		parts = append(parts, part)
+	}
+	for _, rl := range e.locals { // restored, not yet started
+		parts = append(parts, grouping.CaptureLocal(rl))
+	}
+	inc, err := grouping.CaptureRemoteParts(e.merger, parts)
+	if err != nil {
+		return EngineState{}, nil, nil, err
+	}
 	st := EngineState{
 		NextID:     e.nextID,
 		LastTimeNs: checkpoint.TimeNs(e.lastTime),
 		Started:    e.started,
-		Inc:        grouping.CaptureParts(e.locals, e.merger),
+		Inc:        inc,
 	}
 	e.mu.Lock()
-	var pending []event.Event
-	if len(e.out) > 0 {
-		pending = append(pending, e.out...)
-	}
-	var pendingUpd []event.Update
-	if len(e.upd) > 0 {
-		pendingUpd = append(pendingUpd, e.upd...)
-	}
-	e.mu.Unlock()
-	return st, pending, pendingUpd, nil
+	defer e.mu.Unlock()
+	return st, append([]event.Event(nil), e.out...), append([]event.Update(nil), e.upd...), nil
 }
 
-// RestoreSharded rebuilds a sharded engine from a snapshot taken at any
-// worker count. When the counts match, every shard's state (model LRU
-// order, per-shard bounds and counters) restores exactly; otherwise the
-// router-local state reshards by the same router hash the dispatcher uses.
-// Worker goroutines still start lazily on the first Observe.
+// RestoreSharded rebuilds an in-process sharded engine from a snapshot
+// taken at any shard count or engine shape. When the counts match, every
+// shard's state (model LRU order, per-shard bounds and counters) restores
+// exactly; otherwise the router-local state reshards by the same router
+// hash the dispatcher uses. Goroutines still start lazily on the first
+// Observe.
 func RestoreSharded(dict *locdict.Dictionary, rb *rules.RuleBase, cfg Config, workers int, st EngineState) (*ShardedEngine, error) {
 	e, err := NewSharded(dict, rb, cfg, workers)
 	if err != nil {
 		return nil, err
 	}
-	perShard := (e.shardable.MaxStreams() + workers - 1) / workers
-	locals, mg, err := e.shardable.RestoreParts(st.Inc, workers, perShard, func(r string) int {
-		return shardOf(r, workers)
+	return e.restore(st)
+}
+
+// RestoreCluster is RestoreSharded over remote shards: each shard's part
+// seeds its session in the handshake on first dial.
+func RestoreCluster(dict *locdict.Dictionary, rb *rules.RuleBase, cfg Config, addrs []string, st EngineState) (*ShardedEngine, error) {
+	e, err := NewCluster(dict, rb, cfg, addrs)
+	if err != nil {
+		return nil, err
+	}
+	return e.restore(st)
+}
+
+func (e *ShardedEngine) restore(st EngineState) (*ShardedEngine, error) {
+	locals, mg, err := e.shardable.RestoreParts(st.Inc, e.workers, e.perShard, func(r string) int {
+		return shardOf(r, e.workers)
 	})
 	if err != nil {
 		return nil, err
 	}
-	e.locals = locals
-	e.merger = mg
-	e.nextID = st.NextID
-	e.started = st.Started
-	e.lastTime = checkpoint.NsTime(st.LastTimeNs)
+	e.locals, e.merger = locals, mg
+	for k, rl := range locals {
+		e.localStats[k] = rl.Stats()
+	}
+	if e.bySeq != nil {
+		// Every open message can still be named by a future decision.
+		mg.EachOpenPending(func(p *grouping.Pending) { e.bySeq[p.Msg().Seq] = p })
+	}
+	e.nextID, e.started, e.lastTime = st.NextID, st.Started, checkpoint.NsTime(st.LastTimeNs)
 	if e.started {
-		ns := e.lastTime.UnixNano()
-		e.maxDispatched.Store(ns)
-		e.lowWMns.Store(ns)
+		e.maxDispatched.Store(e.lastTime.UnixNano())
+		e.lowWMns.Store(e.lastTime.UnixNano())
 	}
 	return e, nil
 }

@@ -1,41 +1,27 @@
-// Sharded streaming engine: the multi-core form of Engine.
+// Sharded streaming engine: the multi-core and multi-host form of Engine.
 //
-// Topology (one goroutine per box, the caller is the dispatcher):
+//	caller ──sub-batch──▶ link k ─▶ shard k (RouterLocal) ──reply──▶ merge (Merger + event.Builder)
 //
-//	caller ──batch──▶ shard 0 (RouterLocal) ──joins──▶
-//	        ──batch──▶ shard 1 (RouterLocal) ──joins──▶  merge (Merger +
-//	            ⋮                                  ⋮      event.Builder)
-//	        ──batch──▶ shard N-1             ──joins──▶
+// The caller is the dispatcher. Messages hash by router onto N shards; a
+// shard owns the router-local half of the grouper (temporal EWMA models and
+// rule windows for its routers) and computes each message's join decisions
+// (grouping.Joins). The merge goroutine owns everything global: the group
+// partition, closure, the cross-router pass, event building, and event IDs.
+// Location keys embed the router, so a shard's decisions depend only on its
+// own routers' subsequence; the merge stage applies them in the original
+// global order, so the output — events, scores, IDs, order — is
+// byte-identical to the serial Engine at any shard count (grouping/shard.go
+// has the argument; the one caveat is the MaxStreams bound, enforced per
+// shard here). A shard sits behind a shardLink (link.go): a goroutine in
+// this process (NewSharded) or a session on a shard server (NewCluster).
 //
-// Messages hash by router onto N shard workers. A worker owns the
-// router-local half of the grouper state — temporal EWMA models and rule
-// windows for its routers — and computes, per message, the join decisions
-// (grouping.Joins). The merge stage owns everything global: the group
-// partition, the closure list, the cross-router pass, event building, and
-// event IDs. Because locdict location keys embed the router, every join
-// decision a worker makes depends only on its own routers' subsequence,
-// and because the merge stage applies those decisions in the original
-// global order, the emitted events — set, scores, IDs, order — are
-// byte-identical to the serial Engine at any worker count (see
-// grouping/shard.go for the argument; the one caveat is the MaxStreams
-// eviction bound, which is enforced per shard here and globally there).
-//
-// Coordination is batch punctuation: the dispatcher accumulates up to
-// BatchSize messages, partitions them by router, and sends every shard its
-// (possibly empty) sub-batch; each shard answers with exactly one result
-// record per batch carrying the join decisions in order. The merge stage
-// reads one record per shard per batch and replays the batch's original
-// interleaving from the dispatcher's order vector. All channels are
-// bounded, so a slow merge backpressures the shards and a slow shard
-// backpressures the dispatcher — memory in flight is O(workers × depth ×
-// batch).
-//
-// Watermarks: each shard's watermark is the punctuation (max message time)
-// of the last batch it finished. The merge stage's low watermark is the
-// punctuation of the last batch it fully applied — necessarily ≤ every
-// shard watermark, and monotone because dispatch order is time order.
-// Group closure tests against the Merger's own watermark exactly as in the
-// serial engine, so closure (and thus emission) decisions are unchanged.
+// Coordination is batch punctuation: every shard gets its (possibly empty)
+// sub-batch of each batch and answers exactly one reply per batch; the merge
+// stage takes one reply per shard and replays the batch's interleaving. All
+// queues are bounded, so memory in flight is O(shards × depth × batch). The
+// merge stage's low watermark is the punctuation (max message time) of the
+// last batch it applied — monotone, and ≤ every shard's progress. Closure
+// tests against the Merger's own watermark exactly as in the serial engine.
 package stream
 
 import (
@@ -44,6 +30,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"syslogdigest/internal/cluster"
 	"syslogdigest/internal/event"
 	"syslogdigest/internal/grouping"
 	"syslogdigest/internal/locdict"
@@ -53,19 +40,18 @@ import (
 
 const (
 	// DefaultShardBatch is the dispatch batch size: large enough to
-	// amortize channel handoffs, small enough that a live feed's events
-	// surface promptly (a batch also flushes on Drain and on any state
-	// query).
+	// amortize handoffs, small enough that a live feed's events surface
+	// promptly (a batch also flushes on Drain and on any state query).
 	DefaultShardBatch = 256
-	// shardQueueDepth bounds each channel in batches; total in-flight
-	// memory is workers × depth × batch messages.
+	// shardQueueDepth bounds every queue in batches; total in-flight
+	// memory is shards × depth × batch messages.
 	shardQueueDepth = 4
-	// MaxShardWorkers caps the worker count (the order vector stores shard
+	// MaxShardWorkers caps the shard count (the order vector stores shard
 	// indexes in a byte).
 	MaxShardWorkers = 256
 )
 
-// ShardMetrics are one shard worker's observability handles (nil-safe).
+// ShardMetrics are one shard's observability handles (nil-safe).
 type ShardMetrics struct {
 	Pushed    *obs.Counter // stream.shard.<k>.pushed
 	Streams   *obs.Gauge   // stream.shard.<k>.streams
@@ -73,18 +59,20 @@ type ShardMetrics struct {
 	Watermark *obs.Gauge   // stream.shard.<k>.watermark_unix_seconds
 }
 
-// ShardedMetrics extend Metrics with the sharded topology's handles.
-// The embedded Metrics keep their serial meanings: stream.emitted,
-// stream.emit_latency_seconds and stream.watermark_unix_seconds are
-// maintained by the merge stage, and the grouping merge counters and
-// open-state gauges by the Merger it drives. The global stream.state
-// streams/evictions handles aggregate across shards and refresh on every
-// synchronizing call (Drain, Stats); the per-shard handles are live.
+// ShardedMetrics extend Metrics with the sharded topology's handles. The
+// embedded Metrics keep their serial meanings; the router-local series
+// (per-shard handles, stream.state streams/evictions, rule-scan counters)
+// are fed from each shard's per-batch reply stats.
 type ShardedMetrics struct {
 	Metrics
-	MergeEmitted *obs.Counter   // stream.merge.emitted
-	MergeLag     *obs.Histogram // stream.merge.lag_seconds
-	Shards       []ShardMetrics // index = shard; missing entries record nothing
+	MergeEmitted *obs.Counter          // stream.merge.emitted
+	MergeLag     *obs.Histogram        // stream.merge.lag_seconds
+	Shards       []ShardMetrics        // index = shard; missing entries record nothing
+	Client       cluster.ClientMetrics // shared by every remote shard: engine totals
+	// PunctApplied counts batches fully applied by the merge stage
+	// (stream.cluster.punctuations_applied). At quiescence
+	// batches_sent == punctuations_applied × shards.
+	PunctApplied *obs.Counter
 }
 
 func (m *ShardedMetrics) shard(k int) ShardMetrics {
@@ -102,36 +90,6 @@ func MergeLagBounds() []float64 {
 	return []float64{0.001, 0.01, 0.1, 1, 10, 60, 300, 1800, 3600, 14400}
 }
 
-// shardBatch is one dispatch to one shard worker. The sub-batch carries
-// pooled Pending records (acquired by the dispatcher, consumed by
-// Merger.Apply downstream): shipping 8-byte pointers instead of Message
-// values keeps the per-message cost of the shard hop to one struct copy —
-// the same pool.Get copy the serial engine pays.
-type shardBatch struct {
-	msgs  []*grouping.Pending // this shard's sub-batch, in global order
-	punct time.Time           // whole-batch punctuation watermark
-	drain bool                // drop join windows after the batch
-}
-
-// shardItem is one message's computed join decisions. Rule predecessors
-// live in the owning shardResult's rules arena as the window [rs, re) —
-// one shared backing per result instead of one slice per item.
-type shardItem struct {
-	p        *grouping.Pending
-	temporal *grouping.Pending
-	rs, re   int32
-}
-
-// shardResult is one shard's answer to one batch: exactly one per batch,
-// even when the sub-batch was empty. The merge stage recycles the items
-// and rules backings through freeResults once the batch is applied.
-type shardResult struct {
-	items []shardItem
-	rules []*grouping.Pending // arena backing the items' [rs, re) windows
-	stats grouping.LocalStats
-	err   error
-}
-
 type ctrlKind int
 
 const (
@@ -140,114 +98,137 @@ const (
 	ctrlDrain          // then force-close every open group, then ack
 )
 
-// mergeBatch tells the merge stage how to interleave one batch's shard
-// results: order[i] is the shard that holds the batch's i-th message.
-type mergeBatch struct {
-	order []uint8
-	punct time.Time
+// batch is one dispatch: every shard's sub-batch of pooled records
+// (consumed by Merger.Apply) plus the interleaving the merge stage replays.
+// Batches circulate dispatcher → merge → free list, reusing their backings.
+type batch struct {
+	seq   uint64
+	subs  [][]*grouping.Pending // subs[k]: shard k's messages, in global order
+	order []uint8               // order[i]: the shard holding message i
+	punct time.Time             // whole-batch punctuation watermark
 	kind  ctrlKind
 }
 
 // ShardedEngine is the parallel counterpart of Engine, with the same
-// external contract: Observe messages in nondecreasing time order, receive
-// closed events back. The only visible difference is delivery timing —
-// events surface on the Observe call after their batch is applied rather
-// than the exact call that closed them; the event sequence itself (set,
-// scores, IDs, order) is identical.
-//
-// Not safe for concurrent use by multiple callers (one dispatcher), and
-// SetMetrics must precede the first Observe. Close releases the worker
-// goroutines; an unclosed engine leaks them.
+// contract and event sequence; only delivery timing differs (events surface
+// once their batch is applied). Not safe for concurrent use (one
+// dispatcher); SetMetrics/SetShardedMetrics must precede the first Observe,
+// and Close releases the goroutines and links an unclosed engine leaks.
 type ShardedEngine struct {
 	shardable *grouping.Shardable
-	builder   *event.Builder
 	workers   int
+	perShard  int // per-shard MaxStreams: the bound split evenly
 	batchSize int
 	met       ShardedMetrics
+	logf      func(format string, args ...any)
+	// newLink opens shard k's link at start; rl is the shard's restored
+	// router-local state, nil when fresh.
+	newLink func(k int, rl *grouping.RouterLocal) shardLink
 
-	// Dispatcher state (caller goroutine). Messages are partitioned at
-	// Observe time: each one is wrapped in a pooled Pending and appended
-	// straight to its shard's sub-batch, with the order vector recording
-	// the interleaving — there is no intermediate whole-batch buffer to
-	// copy through and clear.
+	// Dispatcher state (caller goroutine).
 	running  bool
 	closed   bool
 	started  bool
 	lastTime time.Time
-	pending  int     // messages partitioned, not yet dispatched
-	order    []uint8 // their interleaving (order[i] = shard of message i)
-
-	shardIn  []chan shardBatch
-	shardOut []chan shardResult
-	mergeIn  chan mergeBatch
-	ack      chan struct{}
-	wg       sync.WaitGroup
-
-	// Recycling channels: slice backings circulate dispatcher → shard →
-	// (merge) → back, so the steady state allocates nothing. A channel of
-	// slice headers (unlike sync.Pool, which would box them) recycles
-	// without allocating. All sends are non-blocking — a full free list
-	// just drops the buffer to the GC — and receives fall back to
-	// allocation, so the channels never add coupling, only reuse.
-	freeMsgs    chan []*grouping.Pending // sub-batch backings, returned by shards
-	freeResults chan shardResult         // items+rules backings, returned by merge
-	freeOrders  chan []uint8             // order vectors, returned by merge
-	subs        [][]*grouping.Pending    // in-progress partition, one per shard
-
-	// locals are the shard workers' RouterLocals, kept so checkpoint
-	// capture can reach them. Pre-populated by RestoreSharded, created by
-	// start otherwise; after start the caller may touch them only in the
-	// post-ack quiet window (see State).
-	locals []*grouping.RouterLocal
+	cur      *batch // being partitioned
+	seq      uint64 // last dispatched batch; the first is 1
+	links    []shardLink
+	// locals hold restored router-local state until start hands it to the
+	// links (and serve State before that).
+	locals  []*grouping.RouterLocal
+	mergeIn chan *batch
+	free    chan *batch
+	ack     chan struct{}
+	done    chan struct{} // closed when the merge goroutine exits
 
 	maxDispatched atomic.Int64 // unixnano of newest dispatched message
 	lowWMns       atomic.Int64 // unixnano punctuation of last applied batch
 
 	// Merge-goroutine state. The caller may touch these only in the quiet
 	// window after a sync/drain ack and before the next dispatch.
-	merger       *grouping.Merger
-	nextID       int
-	localStats   []grouping.LocalStats
-	evictionsPub int
-	members      []event.Member // emit scratch, merge goroutine only
+	merger *grouping.Merger
+	// bySeq resolves remote links' Seq deltas: every applied message until
+	// its group closes (bounded by open messages). nil for local links.
+	bySeq      map[int]*grouping.Pending
+	localStats []grouping.LocalStats // each shard's latest (cumulative) reply stats
+	resolved   []*grouping.Pending   // delta-resolution scratch
 
-	// Two-tier emission (PR 9): the merge stage converts the Merger's
-	// provisional-tier updates right where it emits finals, so the update
-	// sequence is the serial engine's at any worker count.
-	prov       bool
-	updMembers []event.Member // update scratch, merge goroutine only
-
-	mu  sync.Mutex
-	out []event.Event  // emitted, awaiting collection; backing reused (see collect)
-	upd []event.Update // tier-tagged updates awaiting collection
+	mu sync.Mutex // guards out, err and the emitter's update queue
+	emitter
+	out []event.Event // emitted, awaiting collection; backing reused (see collect)
 	err error
 }
 
-// NewSharded builds a sharded engine over the same knowledge as New.
-// workers must be in [1, MaxShardWorkers]; worker goroutines start lazily
-// on the first Observe.
+// NewSharded builds a sharded engine over the same knowledge as New, with
+// in-process shards. workers must be in [1, MaxShardWorkers]; goroutines
+// start lazily on the first Observe.
 func NewSharded(dict *locdict.Dictionary, rb *rules.RuleBase, cfg Config, workers int) (*ShardedEngine, error) {
+	e, err := newSharded(dict, rb, cfg, workers)
+	if err != nil {
+		return nil, err
+	}
+	e.newLink = func(_ int, rl *grouping.RouterLocal) shardLink {
+		if rl == nil {
+			rl = e.shardable.NewLocal(e.perShard)
+		}
+		return newLocalLink(rl)
+	}
+	return e, nil
+}
+
+// NewCluster builds a sharded engine with one remote shard per address
+// (repeat an address to host several shards in one process), reached over
+// the shard wire protocol. The router hash is NewSharded's, so N remote
+// shards see exactly the sub-batches N in-process shards would. The
+// connections open lazily on the first Observe.
+func NewCluster(dict *locdict.Dictionary, rb *rules.RuleBase, cfg Config, addrs []string) (*ShardedEngine, error) {
+	e, err := newSharded(dict, rb, cfg, len(addrs))
+	if err != nil {
+		return nil, err
+	}
+	addrs = append([]string(nil), addrs...)
+	ccfg, sig := cluster.ConfigFrom(cfg.Grouping.Config), cluster.Fingerprint(dict, rb)
+	e.bySeq = make(map[int]*grouping.Pending)
+	e.newLink = func(k int, rl *grouping.RouterLocal) shardLink {
+		var seed *grouping.LocalPartState
+		if rl != nil {
+			part := grouping.CaptureLocal(rl)
+			seed = &part
+		}
+		return &remoteLink{k: k, c: cluster.NewClient(cluster.ClientConfig{
+			Addr:       addrs[k],
+			Shard:      k,
+			Workers:    e.workers,
+			MaxStreams: e.perShard,
+			KBSig:      sig,
+			Config:     ccfg,
+			Metrics:    e.met.Client,
+			Logf:       e.logf,
+		}, seed)}
+	}
+	return e, nil
+}
+
+func newSharded(dict *locdict.Dictionary, rb *rules.RuleBase, cfg Config, workers int) (*ShardedEngine, error) {
 	if workers < 1 || workers > MaxShardWorkers {
-		return nil, fmt.Errorf("stream: worker count %d out of range [1, %d]", workers, MaxShardWorkers)
+		return nil, fmt.Errorf("stream: shard count %d out of range [1, %d]", workers, MaxShardWorkers)
 	}
 	s, err := grouping.NewShardable(dict, rb, cfg.Grouping)
 	if err != nil {
 		return nil, err
 	}
-	return &ShardedEngine{
+	e := &ShardedEngine{
 		shardable:  s,
-		builder:    event.NewBuilder(cfg.Freq, cfg.Labeler),
 		workers:    workers,
+		perShard:   (s.MaxStreams() + workers - 1) / workers,
 		batchSize:  DefaultShardBatch,
+		cur:        &batch{subs: make([][]*grouping.Pending, workers)},
 		merger:     s.NewMerger(),
-		prov:       cfg.Grouping.ProvisionalHorizon > 0,
 		localStats: make([]grouping.LocalStats, workers),
-		subs:       make([][]*grouping.Pending, workers),
-	}, nil
+	}
+	e.emitter = newEmitter(cfg, &e.met.Metrics)
+	return e, nil
 }
-
-// Workers is the shard count.
-func (e *ShardedEngine) Workers() int { return e.workers }
 
 // SetBatchSize overrides the dispatch batch size (<= 0: DefaultShardBatch);
 // batch boundaries never affect output, only handoff amortization and
@@ -262,19 +243,25 @@ func (e *ShardedEngine) SetBatchSize(n int) {
 	e.batchSize = n
 }
 
-// SetMetrics installs the serial metric set (per-shard and merge-stage
-// handles absent). Must precede the first Observe.
+// SetLogf installs a logger for remote shard connection lifecycle lines
+// (reconnects, replays). Must precede the first Observe; nil discards them.
+func (e *ShardedEngine) SetLogf(f func(format string, args ...any)) {
+	if !e.running {
+		e.logf = f
+	}
+}
+
+// SetMetrics installs the serial metric set (per-shard, merge-stage and
+// wire handles absent). Must precede the first Observe.
 func (e *ShardedEngine) SetMetrics(m Metrics) {
 	e.SetShardedMetrics(ShardedMetrics{Metrics: m})
 }
 
 // SetShardedMetrics installs the full sharded metric set. Must precede the
-// first Observe — the pool counters start recording here, and a record
-// acquired before installation would go uncounted (any Observe leaves
-// either a partitioned message or a running engine behind, which is
-// exactly what the guard checks; a freshly restored engine passes).
+// first Observe (which leaves a partitioned message or a running engine
+// behind — what the guard checks): the pool counters start here.
 func (e *ShardedEngine) SetShardedMetrics(m ShardedMetrics) {
-	if e.running || e.pending > 0 {
+	if e.running || len(e.cur.order) > 0 {
 		return
 	}
 	e.met = m
@@ -285,44 +272,22 @@ func (e *ShardedEngine) SetShardedMetrics(m ShardedMetrics) {
 	})
 }
 
-// start launches the worker and merge goroutines. The MaxStreams bound is
-// split evenly across shards, so total temporal-model state stays bounded
-// by (roughly) the serial engine's cap.
+// start opens the shard links and launches the merge goroutine.
 func (e *ShardedEngine) start() {
 	e.running = true
-	perShard := (e.shardable.MaxStreams() + e.workers - 1) / e.workers
-	e.shardIn = make([]chan shardBatch, e.workers)
-	e.shardOut = make([]chan shardResult, e.workers)
-	if e.locals == nil {
-		e.locals = make([]*grouping.RouterLocal, e.workers)
-		for k := range e.locals {
-			e.locals[k] = e.shardable.NewLocal(perShard)
+	e.links = make([]shardLink, e.workers)
+	for k := range e.links {
+		var rl *grouping.RouterLocal
+		if e.locals != nil {
+			rl = e.locals[k]
 		}
+		e.links[k] = e.newLink(k, rl)
 	}
-	for k := 0; k < e.workers; k++ {
-		e.shardIn[k] = make(chan shardBatch, shardQueueDepth)
-		e.shardOut[k] = make(chan shardResult, shardQueueDepth)
-		local := e.locals[k]
-		sm := e.met.shard(k)
-		local.SetMetrics(grouping.LocalMetrics{
-			Streams:         sm.Streams,
-			StreamEvictions: sm.Evictions,
-			// Scan tallies are atomic counters, so every shard shares the
-			// global handles rather than getting a per-shard series.
-			RuleCandidates: e.met.Grouping.RuleCandidates,
-			RulePairs:      e.met.Grouping.RulePairs,
-		})
-		e.wg.Add(1)
-		go e.shardLoop(k, local, sm)
-	}
-	e.mergeIn = make(chan mergeBatch, shardQueueDepth)
+	e.locals = nil // the links own the state now
+	e.mergeIn = make(chan *batch, shardQueueDepth)
+	e.free = make(chan *batch, shardQueueDepth+2) // queued + merging + partitioning
 	e.ack = make(chan struct{}, 1)
-	// Capacities cover everything that can be in flight (queued batches,
-	// one being processed, one being assembled) so steady state never
-	// drops a buffer.
-	e.freeMsgs = make(chan []*grouping.Pending, e.workers*(shardQueueDepth+2))
-	e.freeResults = make(chan shardResult, e.workers*(shardQueueDepth+2))
-	e.freeOrders = make(chan []uint8, shardQueueDepth+2)
+	e.done = make(chan struct{})
 	e.merger.SetMetrics(grouping.MergeMetrics{
 		MergeTemporal:   e.met.Grouping.MergeTemporal,
 		MergeRule:       e.met.Grouping.MergeRule,
@@ -331,7 +296,6 @@ func (e *ShardedEngine) start() {
 		OpenMessages:    e.met.Grouping.OpenMessages,
 		OpenGroups:      e.met.Grouping.OpenGroups,
 	})
-	e.wg.Add(1)
 	go e.mergeLoop()
 }
 
@@ -356,158 +320,93 @@ func (e *ShardedEngine) Observe(m Message) ([]event.Event, error) {
 	if e.closed {
 		return nil, fmt.Errorf("stream: sharded engine closed")
 	}
-	if e.started && m.Time.Before(e.lastTime) {
-		// Same contract (and message) as the serial grouper: a regression
-		// is rejected before touching any state.
+	if e.started && m.Time.Before(e.lastTime) { // the serial grouper's contract and message
 		return nil, fmt.Errorf("grouping: incremental requires nondecreasing timestamps (got %v after watermark %v)",
 			m.Time, e.lastTime)
 	}
 	e.started = true
 	e.lastTime = m.Time
-	// Partition on arrival: wrap the message in a pooled record (the one
-	// per-message struct copy, same as the serial engine's pool.Get) and
-	// append the pointer to its shard's sub-batch. The record's pipeline
-	// reference travels with it and is consumed by Merger.Apply.
+	// Partition on arrival: the pooled record (the serial engine's one
+	// struct copy) carries its pipeline reference to Merger.Apply.
 	p := e.shardable.Pool().Get(grouping.Message{
 		Seq: m.Seq, Time: m.Time, Router: m.Router, Template: m.Template,
 		Loc: m.Loc, AllLocs: m.AllLocs, Peers: m.Peers, Raw: m.Raw,
 	})
-	k := shardOf(m.Router, e.workers)
-	sub := e.subs[k]
-	if sub == nil {
-		select {
-		case sub = <-e.freeMsgs:
-			sub = sub[:0]
-		default:
-			sub = make([]*grouping.Pending, 0, e.batchSize)
-		}
+	b, k := e.cur, shardOf(m.Router, e.workers)
+	if b.subs[k] == nil { // sized once: batches recycle their sub-batches
+		b.subs[k] = make([]*grouping.Pending, 0, e.batchSize)
 	}
-	e.subs[k] = append(sub, p)
-	if e.order == nil {
-		select {
-		case e.order = <-e.freeOrders:
-			e.order = e.order[:0]
-		default:
-		}
-	}
-	e.order = append(e.order, uint8(k))
-	e.pending++
-	if e.pending >= e.batchSize {
+	b.subs[k] = append(b.subs[k], p)
+	b.order = append(b.order, uint8(k))
+	if len(b.order) >= e.batchSize {
 		e.dispatch(ctrlNone)
 	}
 	return e.collect(), nil
 }
 
-// dispatch hands every shard its sub-batch (empty included — one record
-// per shard per batch is the synchronization invariant) and tells the
-// merge stage how to re-interleave the results. Partitioning already
-// happened in Observe; order vectors and sub-batch backings circulate
-// through the free channels.
+// dispatch hands every shard its sub-batch (empty included — one reply per
+// shard per batch is the synchronization invariant) and the merge stage the
+// batch. Only called once started, so the punctuation is a message time.
 func (e *ShardedEngine) dispatch(kind ctrlKind) {
 	if !e.running {
 		e.start()
 	}
-	punct := e.lastTime
-	if e.started {
-		e.maxDispatched.Store(punct.UnixNano())
+	b := e.cur
+	e.seq++
+	b.seq, b.punct, b.kind = e.seq, e.lastTime, kind
+	e.maxDispatched.Store(b.punct.UnixNano())
+	for k, l := range e.links {
+		l.send(b.seq, b.subs[k], b.punct, kind == ctrlDrain)
 	}
-	for k := 0; k < e.workers; k++ {
-		e.shardIn[k] <- shardBatch{msgs: e.subs[k], punct: punct, drain: kind == ctrlDrain}
-		e.subs[k] = nil
-	}
-	e.mergeIn <- mergeBatch{order: e.order, punct: punct, kind: kind}
-	e.order = nil
-	e.pending = 0
-}
-
-// shardLoop is one worker: it runs the router-local grouping passes over
-// its sub-batches and ships the join decisions to the merge stage.
-// Pendings arrive already pooled by the dispatcher; items and rule
-// decisions land in recycled backings, and the consumed sub-batch backing
-// goes straight back to the dispatcher. Metrics flush once per batch — the
-// per-message atomic adds on shared counters were measurable contention.
-func (e *ShardedEngine) shardLoop(k int, local *grouping.RouterLocal, met ShardMetrics) {
-	defer e.wg.Done()
-	var js grouping.Joins
-	for b := range e.shardIn[k] {
-		var res shardResult
-		select {
-		case res = <-e.freeResults:
-		default:
-		}
-		for i := range b.msgs {
-			p := b.msgs[i]
-			if err := local.Step(p, &js); err != nil {
-				res.err = err
-				break
-			}
-			it := shardItem{p: p, temporal: js.Temporal, rs: int32(len(res.rules))}
-			res.rules = append(res.rules, js.Rules...)
-			it.re = int32(len(res.rules))
-			res.items = append(res.items, it)
-		}
-		met.Pushed.Add(uint64(len(res.items)))
-		if b.drain {
-			local.DrainWindows()
-		}
-		if !b.punct.IsZero() {
-			met.Watermark.Set(float64(b.punct.UnixNano()) / 1e9)
-		}
-		local.PublishMetrics()
-		res.stats = local.Stats()
-		if cap(b.msgs) > 0 {
-			clear(b.msgs)
-			select {
-			case e.freeMsgs <- b.msgs[:0]:
-			default:
-			}
-		}
-		e.shardOut[k] <- res
+	e.mergeIn <- b
+	select {
+	case e.cur = <-e.free:
+	default:
+		e.cur = &batch{subs: make([][]*grouping.Pending, e.workers)}
 	}
 }
 
-// mergeLoop is the merge stage: per batch it reads one result from every
+// mergeLoop is the merge stage: per batch it reads one reply from every
 // shard, replays the original interleaving, applies each message's join
 // decisions to the global Merger, and emits closed groups as events. After
 // a failure it keeps consuming (so the dispatcher never blocks) but stops
 // applying; the error surfaces on the caller's next Observe.
 func (e *ShardedEngine) mergeLoop() {
-	defer e.wg.Done()
+	defer close(e.done)
 	var js grouping.Joins
-	results := make([]shardResult, e.workers)
+	replies := make([]shardReply, e.workers)
 	idx := make([]int, e.workers)
-	for mb := range e.mergeIn {
-		for k := 0; k < e.workers; k++ {
-			results[k] = <-e.shardOut[k]
-			idx[k] = 0
-		}
+	for b := range e.mergeIn {
 		failed := e.peekErr() != nil
-		if !failed {
-			for k := range results {
-				if results[k].err != nil {
-					e.fail(results[k].err)
-					failed = true
-					break
-				}
+		for k, l := range e.links {
+			r, err := l.recv()
+			switch {
+			case err != nil:
+			case r.seq != b.seq:
+				err = fmt.Errorf("stream: shard %d answered batch %d, expected %d", k, r.seq, b.seq)
+			case r.err != nil:
+				err = r.err
+			case r.len() != len(b.subs[k]):
+				err = fmt.Errorf("stream: shard %d answered %d of %d messages", k, r.len(), len(b.subs[k]))
 			}
+			if err != nil && !failed {
+				e.fail(err)
+				failed = true
+			}
+			replies[k], idx[k] = r, 0
 		}
 		applied := false
-		for _, k := range mb.order {
-			if idx[k] >= len(results[k].items) {
-				break // shard erred mid-batch; its tail never computed
-			}
-			it := results[k].items[idx[k]]
-			idx[k]++
+		for _, k := range b.order {
 			if failed {
-				continue
+				break
 			}
-			js.Temporal = it.temporal
-			js.Rules = results[k].rules[it.rs:it.re:it.re]
-			closed, err := e.merger.Apply(it.p, &js)
+			p, r, i := b.subs[k][idx[k]], &replies[k], idx[k]
+			idx[k]++
+			closed, err := e.apply(p, r, i, &js)
 			if err != nil {
 				e.fail(err)
 				failed = true
-				continue
+				break
 			}
 			e.emitUpdates()
 			e.emit(closed)
@@ -516,85 +415,126 @@ func (e *ShardedEngine) mergeLoop() {
 		if applied {
 			e.met.Watermark.Set(float64(e.merger.Watermark().UnixNano()) / 1e9)
 		}
-		for k := range results {
-			e.localStats[k] = results[k].stats
-			r := results[k]
-			clear(r.items)
-			clear(r.rules)
-			select {
-			case e.freeResults <- shardResult{items: r.items[:0], rules: r.rules[:0]}:
-			default:
+		e.account(replies, b.punct)
+		clear(replies)
+		if !failed {
+			if len(b.order) > 0 {
+				e.met.MergeLag.Observe(time.Duration(e.maxDispatched.Load() - b.punct.UnixNano()).Seconds())
 			}
-			results[k] = shardResult{}
+			e.met.PunctApplied.Inc()
 		}
-		if cap(mb.order) > 0 {
-			select {
-			case e.freeOrders <- mb.order[:0]:
-			default:
-			}
-		}
-		e.shardable.Pool().PublishLive()
-		if !mb.punct.IsZero() {
-			if !failed && len(mb.order) > 0 {
-				lag := time.Duration(e.maxDispatched.Load() - mb.punct.UnixNano())
-				e.met.MergeLag.Observe(lag.Seconds())
-			}
-			e.lowWMns.Store(mb.punct.UnixNano())
-		}
-		if mb.kind == ctrlDrain && !failed {
+		e.lowWMns.Store(b.punct.UnixNano())
+		kind := b.kind
+		if kind == ctrlDrain && !failed {
 			closed := e.merger.Drain()
 			e.emitUpdates()
 			e.emit(closed)
 		}
-		if mb.kind != ctrlNone {
+		e.shardable.Pool().PublishLive()
+		for k := range b.subs {
+			clear(b.subs[k])
+			b.subs[k] = b.subs[k][:0]
+		}
+		b.order = b.order[:0]
+		select {
+		case e.free <- b:
+		default:
+		}
+		if kind != ctrlNone {
 			e.ack <- struct{}{}
 		}
 	}
 }
 
-// emit scores closed groups exactly as Engine.emit and queues the events
-// for the caller to collect. The member scratch is reused across calls,
-// and the closed groups' member buffers go back to the Merger once the
-// events are built.
+// apply rebuilds message i's join decisions from its shard's reply and
+// applies them. Local replies carry the predecessors themselves; remote
+// ones carry Seq deltas, resolved through bySeq — a miss is a protocol
+// desync (the closure-horizon invariant says an open group pins every join
+// predecessor), so it fails the engine.
+func (e *ShardedEngine) apply(p *grouping.Pending, r *shardReply, i int, js *grouping.Joins) ([]grouping.ClosedGroup, error) {
+	if r.dec == nil {
+		it := r.items[i]
+		js.Temporal = it.temporal
+		js.Rules = r.rules[it.rs:it.re:it.re]
+		return e.merger.Apply(p, js)
+	}
+	seq, it := p.Msg().Seq, r.dec.Items[i]
+	deltas := r.dec.Rules[it.RS:it.RE]
+	e.resolved = e.resolved[:0]
+	for j := -1; j < len(deltas); j++ { // j = -1: the temporal predecessor (delta 0: none)
+		d := it.Temporal
+		if j >= 0 {
+			d = deltas[j]
+		}
+		var pred *grouping.Pending
+		if d != 0 {
+			if pred = e.bySeq[seq-int(d)]; pred == nil {
+				return nil, fmt.Errorf("stream: shard decision desync: predecessor %d of %d not open", seq-int(d), seq)
+			}
+		}
+		e.resolved = append(e.resolved, pred)
+	}
+	js.Temporal, js.Rules = e.resolved[0], e.resolved[1:]
+	e.bySeq[seq] = p
+	return e.merger.Apply(p, js)
+}
+
+// account publishes the router-local series from one batch's replies: the
+// stats are cumulative per shard, so counters advance by the difference to
+// the previous reply (restore seeds localStats, so restored totals are
+// never counted twice). A dead link's missing reply (seq 0) is skipped.
+func (e *ShardedEngine) account(replies []shardReply, punct time.Time) {
+	g := &e.met.Grouping
+	streams := 0
+	for k := range replies {
+		r, prev := &replies[k], e.localStats[k]
+		if r.seq != 0 {
+			st, sm := r.stats, e.met.shard(k)
+			sm.Pushed.Add(uint64(r.len()))
+			sm.Streams.Set(float64(st.Streams))
+			sm.Watermark.Set(float64(punct.UnixNano()) / 1e9)
+			if st.Evictions > prev.Evictions {
+				sm.Evictions.Add(uint64(st.Evictions - prev.Evictions))
+				g.StreamEvictions.Add(uint64(st.Evictions - prev.Evictions))
+			}
+			if st.RuleCandidates > prev.RuleCandidates {
+				g.RuleCandidates.Add(st.RuleCandidates - prev.RuleCandidates)
+			}
+			if st.RulePairs > prev.RulePairs {
+				g.RulePairs.Add(st.RulePairs - prev.RulePairs)
+			}
+			e.localStats[k] = st
+		}
+		streams += e.localStats[k].Streams
+	}
+	g.Streams.Set(float64(streams))
+}
+
+// emit builds closed groups' events (Engine.emit's books, plus the
+// merge-stage counter) and queues them for the caller to collect; the
+// member buffers go back to the Merger once the events are built.
 func (e *ShardedEngine) emit(closed []grouping.ClosedGroup) {
 	if len(closed) == 0 {
 		return
 	}
 	wm := e.merger.Watermark()
 	e.mu.Lock()
-	for _, cg := range closed {
-		e.members = e.members[:0]
-		for i := range cg.Members {
-			gm := &cg.Members[i]
-			e.members = append(e.members, event.Member{
-				Seq: gm.Seq, Time: gm.Time, Router: gm.Router,
-				Template: gm.Template, Loc: gm.Loc, Raw: gm.Raw,
-			})
+	for i := range closed {
+		if e.bySeq != nil {
+			for j := range closed[i].Members { // no later decision names a closed member
+				delete(e.bySeq, closed[i].Members[j].Seq)
+			}
 		}
-		ev := e.builder.BuildGroup(e.members)
-		ev.ID = e.nextID
-		e.nextID++
-		e.met.Emitted.Inc()
+		e.out = append(e.out, e.final(&closed[i], wm))
 		e.met.MergeEmitted.Inc()
-		e.met.EmitLatency.Observe(wm.Sub(ev.End).Seconds())
-		if e.prov {
-			e.met.ProvFinalized.Inc()
-			e.met.RevisionChurn.Observe(float64(cg.Revision))
-			e.upd = append(e.upd, event.Update{
-				EventID: cg.ID, Revision: cg.Revision,
-				Status: event.StatusFinal, Event: ev,
-			})
-		}
-		e.out = append(e.out, ev)
 	}
 	e.mu.Unlock()
 	e.merger.Recycle(closed)
 }
 
 // emitUpdates converts the Merger's pending provisional-tier updates to
-// event form and queues them (merge goroutine only). Runs before emit for
-// the same Apply, so provisional records always precede the final records
-// they anticipate.
+// event form and queues them. Runs before emit for the same Apply, so
+// provisional records always precede the final records they anticipate.
 func (e *ShardedEngine) emitUpdates() {
 	if !e.prov {
 		return
@@ -606,7 +546,7 @@ func (e *ShardedEngine) emitUpdates() {
 	wm := e.merger.Watermark()
 	e.mu.Lock()
 	for _, gu := range gus {
-		e.upd = append(e.upd, buildUpdate(e.builder, &e.updMembers, &e.met.Metrics, wm, gu))
+		e.update(gu, wm)
 	}
 	e.mu.Unlock()
 }
@@ -617,30 +557,26 @@ func (e *ShardedEngine) emitUpdates() {
 func (e *ShardedEngine) TakeUpdates() []event.Update {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(e.upd) == 0 {
-		return nil
-	}
-	out := make([]event.Update, len(e.upd))
-	copy(out, e.upd)
-	clear(e.upd)
-	e.upd = e.upd[:0]
-	return out
+	return takeQueued(&e.upd)
 }
 
-// collect takes the events emitted since the last collection. The caller
-// gets a fresh exact-size slice (it may retain the events indefinitely);
-// the queue's backing array is cleared and truncated for reuse, so closure
-// bursts grow it to their high-water mark exactly once.
+// collect takes the events emitted since the last collection.
 func (e *ShardedEngine) collect() []event.Event {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(e.out) == 0 {
+	return takeQueued(&e.out)
+}
+
+// takeQueued hands the caller a fresh exact-size copy of a queue (it may
+// retain it indefinitely) and clear-truncates the queue's backing for
+// reuse, so closure bursts grow it to their high-water mark exactly once.
+func takeQueued[T any](q *[]T) []T {
+	if len(*q) == 0 {
 		return nil
 	}
-	out := make([]event.Event, len(e.out))
-	copy(out, e.out)
-	clear(e.out)
-	e.out = e.out[:0]
+	out := append([]T(nil), *q...)
+	clear(*q)
+	*q = (*q)[:0]
 	return out
 }
 
@@ -658,50 +594,31 @@ func (e *ShardedEngine) peekErr() error {
 	return e.err
 }
 
-// sync flushes the partial batch and blocks until the merge stage has
-// applied everything dispatched. Until the next dispatch the caller has
-// exclusive (happens-before via the ack) access to the Merger and the
-// shard stats snapshots.
-func (e *ShardedEngine) sync() {
-	if !e.running {
+// sync flushes the partial batch as a control batch and blocks until the
+// merge stage has applied everything dispatched. Until the next dispatch
+// the caller has exclusive (happens-before via the ack) access to the
+// Merger, the shard stats, and — through the links — the shards' state.
+// A no-op until the engine holds state (observed, or restored started).
+func (e *ShardedEngine) sync(kind ctrlKind) {
+	if !e.started {
 		return
 	}
-	e.dispatch(ctrlSync)
+	e.dispatch(kind)
 	<-e.ack
 }
 
-// publishGlobal refreshes the aggregate stream.state gauges from the
-// per-shard snapshots; callable only in the post-sync quiet window.
-func (e *ShardedEngine) publishGlobal() {
-	streams, evs := 0, 0
-	for _, ls := range e.localStats {
-		streams += ls.Streams
-		evs += ls.Evictions
-	}
-	e.met.Grouping.Streams.Set(float64(streams))
-	if evs > e.evictionsPub {
-		e.met.Grouping.StreamEvictions.Add(uint64(evs - e.evictionsPub))
-		e.evictionsPub = evs
-	}
-}
-
-// Drain flushes the partial batch, force-closes every open group, and
-// returns all uncollected events, oldest first. Temporal models and
-// watermarks persist, as in the serial engine.
+// Drain flushes the partial batch, drops every shard's join windows,
+// force-closes every open group (restored ones included, even before any
+// Observe), and returns all uncollected events, oldest first. Temporal
+// models and watermarks persist, as in the serial engine.
 func (e *ShardedEngine) Drain() []event.Event {
-	if !e.running && e.pending == 0 {
-		return nil
-	}
-	e.dispatch(ctrlDrain)
-	<-e.ack
-	e.publishGlobal()
-	e.shardable.Pool().PublishLive()
+	e.sync(ctrlDrain)
 	return e.collect()
 }
 
-// Close flushes nothing, drops nothing, and stops the worker goroutines;
-// call Drain first if open groups should still emit. The engine rejects
-// further use.
+// Close flushes nothing, drops nothing, and stops the merge goroutine and
+// the shard links; call Drain first if open groups should still emit. The
+// engine rejects further use.
 func (e *ShardedEngine) Close() {
 	if e.closed {
 		return
@@ -710,11 +627,11 @@ func (e *ShardedEngine) Close() {
 	if !e.running {
 		return
 	}
-	for k := range e.shardIn {
-		close(e.shardIn[k])
-	}
 	close(e.mergeIn)
-	e.wg.Wait()
+	<-e.done
+	for _, l := range e.links {
+		l.close()
+	}
 }
 
 // Watermark is the maximum message time observed (dispatcher view — the
@@ -722,7 +639,7 @@ func (e *ShardedEngine) Close() {
 func (e *ShardedEngine) Watermark() time.Time { return e.lastTime }
 
 // LowWatermark is the merge stage's progress: the punctuation of the last
-// fully applied batch, ≤ every shard watermark and monotone. Safe to call
+// fully applied batch, ≤ every shard's progress and monotone. Safe to call
 // concurrently with anything.
 func (e *ShardedEngine) LowWatermark() time.Time {
 	ns := e.lowWMns.Load()
@@ -732,25 +649,18 @@ func (e *ShardedEngine) LowWatermark() time.Time {
 	return time.Unix(0, ns)
 }
 
-// Horizon is the closure bound.
-func (e *ShardedEngine) Horizon() time.Duration { return e.shardable.Horizon() }
-
 // ActiveRules synchronizes and returns the merge stage's cumulative
 // per-pair rule-merge tally. The map is a snapshot copy; the caller may
 // keep or mutate it freely.
 func (e *ShardedEngine) ActiveRules() map[rules.PairKey]int {
-	e.sync()
+	e.sync(ctrlSync)
 	return e.merger.ActiveRules()
 }
 
 // Stats synchronizes (flushing the partial batch) and snapshots the
 // grouper state and merge counters across all shards.
 func (e *ShardedEngine) Stats() grouping.IncStats {
-	if !e.running {
-		return grouping.IncStats{}
-	}
-	e.sync()
-	e.publishGlobal()
+	e.sync(ctrlSync)
 	ms := e.merger.Stats()
 	st := grouping.IncStats{
 		OpenMessages:    ms.OpenMessages,
@@ -772,9 +682,6 @@ func (e *ShardedEngine) Stats() grouping.IncStats {
 // Pending is the number of messages in not-yet-closed groups (synchronizes
 // first, so nothing is in flight when it counts).
 func (e *ShardedEngine) Pending() int {
-	if !e.running {
-		return e.pending
-	}
-	e.sync()
+	e.sync(ctrlSync)
 	return e.merger.Stats().OpenMessages
 }

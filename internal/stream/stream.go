@@ -88,13 +88,9 @@ func ChurnBounds() []float64 {
 
 // Engine is one incremental digest pipeline instance.
 type Engine struct {
-	inc     *grouping.Incremental
-	builder *event.Builder
-	nextID  int
-	prov    bool // provisional tier on (cfg.Grouping.ProvisionalHorizon > 0)
-	upd     []event.Update
-	met     Metrics
-	members []event.Member // emit scratch, reused across calls
+	inc *grouping.Incremental
+	met Metrics
+	emitter
 }
 
 // New builds an engine from learned knowledge. dict may not be nil; rb may
@@ -104,11 +100,9 @@ func New(dict *locdict.Dictionary, rb *rules.RuleBase, cfg Config) (*Engine, err
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{
-		inc:     inc,
-		builder: event.NewBuilder(cfg.Freq, cfg.Labeler),
-		prov:    cfg.Grouping.ProvisionalHorizon > 0,
-	}, nil
+	e := &Engine{inc: inc}
+	e.emitter = newEmitter(cfg, &e.met)
+	return e, nil
 }
 
 // SetMetrics installs observability handles.
@@ -161,13 +155,13 @@ func (e *Engine) collectUpdates() {
 		return
 	}
 	for _, gu := range e.inc.TakeUpdates() {
-		e.upd = append(e.upd, buildUpdate(e.builder, &e.members, &e.met, e.inc.Watermark(), gu))
+		e.update(gu, e.inc.Watermark())
 	}
 }
 
 // Close is a no-op: the serial engine owns no goroutines. It exists so
-// callers can hold either engine behind one interface (ShardedEngine's
-// Close is load-bearing).
+// callers can hold the serial and the sharded engine behind one interface
+// (ShardedEngine's Close, in-process or cluster, is load-bearing).
 func (e *Engine) Close() {}
 
 // Watermark is the maximum message time observed.
@@ -196,67 +190,84 @@ func (e *Engine) emit(closed []grouping.ClosedGroup) []event.Event {
 	}
 	wm := e.inc.Watermark()
 	evs := make([]event.Event, 0, len(closed))
-	for _, cg := range closed {
-		e.members = e.members[:0]
-		for i := range cg.Members {
-			gm := &cg.Members[i]
-			e.members = append(e.members, event.Member{
-				Seq: gm.Seq, Time: gm.Time, Router: gm.Router,
-				Template: gm.Template, Loc: gm.Loc, Raw: gm.Raw,
-			})
-		}
-		ev := e.builder.BuildGroup(e.members)
-		ev.ID = e.nextID
-		e.nextID++
-		e.met.Emitted.Inc()
-		e.met.EmitLatency.Observe(wm.Sub(ev.End).Seconds())
-		if e.prov {
-			e.met.ProvFinalized.Inc()
-			e.met.RevisionChurn.Observe(float64(cg.Revision))
-			e.upd = append(e.upd, event.Update{
-				EventID: cg.ID, Revision: cg.Revision,
-				Status: event.StatusFinal, Event: ev,
-			})
-		}
-		evs = append(evs, ev)
+	for i := range closed {
+		evs = append(evs, e.final(&closed[i], wm))
 	}
 	e.inc.Recycle(closed)
 	return evs
 }
 
-// buildUpdate converts one grouping-layer update into its event form and
-// records the provisional books — the shared tail of both engines' update
-// paths (the sharded engine runs it on the merge goroutine, preserving the
-// serial emission order). members is the caller's reusable scratch.
-func buildUpdate(b *event.Builder, members *[]event.Member, met *Metrics, wm time.Time, gu grouping.GroupUpdate) event.Update {
+// emitter is the event-building tail both engines share: it turns closed
+// groups and provisional-tier updates into events, numbers the finals in
+// emission order, queues the tier-tagged records, and keeps the emission
+// books. The sharded engine runs it on its merge goroutine, preserving the
+// serial emission order.
+type emitter struct {
+	builder *event.Builder
+	prov    bool // provisional tier on (cfg.Grouping.ProvisionalHorizon > 0)
+	nextID  int
+	met     *Metrics
+	upd     []event.Update
+	members []event.Member // scratch, reused across calls
+}
+
+func newEmitter(cfg Config, met *Metrics) emitter {
+	return emitter{builder: event.NewBuilder(cfg.Freq, cfg.Labeler), prov: cfg.Grouping.ProvisionalHorizon > 0, met: met}
+}
+
+// final builds a closed group's event under the next ID; with the tier on
+// it also queues the group's final update record.
+func (m *emitter) final(cg *grouping.ClosedGroup, wm time.Time) event.Event {
+	ev := m.build(cg.Members)
+	ev.ID = m.nextID
+	m.nextID++
+	m.met.Emitted.Inc()
+	m.met.EmitLatency.Observe(wm.Sub(ev.End).Seconds())
+	if m.prov {
+		m.met.ProvFinalized.Inc()
+		m.met.RevisionChurn.Observe(float64(cg.Revision))
+		m.upd = append(m.upd, event.Update{
+			EventID: cg.ID, Revision: cg.Revision,
+			Status: event.StatusFinal, Event: ev,
+		})
+	}
+	return ev
+}
+
+// update queues one grouping-layer update in event form and records the
+// provisional books.
+func (m *emitter) update(gu grouping.GroupUpdate, wm time.Time) {
 	u := event.Update{EventID: gu.ID, Revision: gu.Revision}
 	switch gu.Kind {
 	case grouping.UpdateSuperseded:
 		u.Status = event.StatusSuperseded
 		u.SupersededBy = gu.SupersededBy
-		met.ProvSuperseded.Inc()
-		return u
+		m.met.ProvSuperseded.Inc()
+		m.upd = append(m.upd, u)
+		return
 	case grouping.UpdateRevised:
 		u.Status = event.StatusRevised
-		met.ProvRevised.Inc()
+		m.met.ProvRevised.Inc()
 	default:
 		u.Status = event.StatusProvisional
-		met.ProvEmitted.Inc()
+		m.met.ProvEmitted.Inc()
 	}
-	ms := (*members)[:0]
-	for i := range gu.Members {
-		gm := &gu.Members[i]
-		ms = append(ms, event.Member{
+	u.Event = m.build(gu.Members)
+	u.Event.ID = -1 // the sequential final-stream ID is assigned only at closure
+	if u.Status == event.StatusProvisional {
+		m.met.ProvLatency.Observe(wm.Sub(u.Event.End).Seconds())
+	}
+	m.upd = append(m.upd, u)
+}
+
+func (m *emitter) build(gms []grouping.Message) event.Event {
+	m.members = m.members[:0]
+	for i := range gms {
+		gm := &gms[i]
+		m.members = append(m.members, event.Member{
 			Seq: gm.Seq, Time: gm.Time, Router: gm.Router,
 			Template: gm.Template, Loc: gm.Loc, Raw: gm.Raw,
 		})
 	}
-	*members = ms
-	ev := b.BuildGroup(ms)
-	ev.ID = -1 // the sequential final-stream ID is assigned only at closure
-	u.Event = ev
-	if u.Status == event.StatusProvisional {
-		met.ProvLatency.Observe(wm.Sub(ev.End).Seconds())
-	}
-	return u
+	return m.builder.BuildGroup(m.members)
 }
